@@ -1,11 +1,17 @@
 GO ?= go
 
-.PHONY: all build vet test race check depgate sweep-smoke crash-matrix oracle-smoke serve-smoke net-smoke kill9-smoke pipeline-smoke reshard-smoke group-smoke fuzz-smoke bench-oracle bench-sim bench-serve bench-store bench-net bench-compare profile perf-smoke bless-golden clean
+.PHONY: all build fmt vet test race check depgate sweep-smoke crash-matrix oracle-smoke serve-smoke net-smoke kill9-smoke pipeline-smoke reshard-smoke group-smoke fuzz-smoke bench-oracle bench-sim bench-serve bench-store bench-net bench-compare profile perf-smoke bless-golden clean
 
 all: check
 
 build:
 	$(GO) build ./...
+
+# fmt fails listing every Go file gofmt would change (the benchmark's
+# build directory is skipped).
+fmt:
+	@out="$$(gofmt -l $$(find . -name '*.go' -not -path './.bench_build/*'))"; \
+	if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -16,13 +22,13 @@ test:
 race:
 	$(GO) test -race ./...
 
-# check is the pre-commit gate: build, vet, the deprecation gate, the
+# check is the pre-commit gate: gofmt, build, vet, the deprecation gate, the
 # full suite under the race detector, the pipelining matrix smoke
 # (workers x depth through the serving oracle plus a crashing CLI run),
 # and the resharding smoke. -short shrinks the sweep grid cells (see
 # internal/sweep.testGrid) so the parallel engine is still exercised
 # end-to-end without multi-minute cells.
-check: build vet depgate
+check: fmt build vet depgate
 	$(GO) test -short -race ./...
 	$(MAKE) pipeline-smoke
 	$(MAKE) reshard-smoke

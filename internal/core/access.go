@@ -341,9 +341,9 @@ func (c *Controller) loadPathTimed(l oram.Leaf, target oram.Addr, earliest mem.C
 // loadBucket is the functional half of loading one bucket: blocks it
 // brings into the stash are appended to c.scratch.loaded. Headers come
 // from the cheapest valid source — a still-valid prefetch entry, the
-// lazy-seal overlay's plaintext descriptor, or a real header open —
-// and a payload is only decrypted for blocks that actually enter (or
-// refresh) the stash. Overlay-resident payloads copy plaintext directly:
+// plaintext header of a deferred seal, or a real header open — and a
+// payload is only decrypted for blocks that actually enter (or refresh)
+// the stash. Deferred payloads copy plaintext directly:
 // the steady-state bucket load runs without any AES at all. pi is the
 // bucket's index on the current path (for prefetch matching).
 func (c *Controller) loadBucket(pi int, bucket uint64, oracle func(oram.Addr) oram.Leaf) error {
@@ -357,7 +357,7 @@ func (c *Controller) loadBucket(pi int, bucket uint64, oracle func(oram.Addr) or
 			addr  oram.Addr
 			leaf  oram.Leaf
 			ver   uint32
-			plain []byte // overlay plaintext payload, nil if sealed-only
+			plain []byte // deferred plaintext payload, nil if sealed
 			have  bool
 		)
 		if usePf {

@@ -131,6 +131,7 @@ type Controller struct {
 		planUsed []int
 		unplaced []*oram.StashBlock
 		slots    []plannedSlot // sealed eviction plan
+		seal     []byte        // eager seals' header+payload buffers (sealSlots)
 		// planDirty is the dirty-PosMap-entry tally of the last planSlots
 		// pass (folded into the plan loop; posMapEntriesFor reads it).
 		planDirty int
@@ -160,10 +161,10 @@ type Controller struct {
 	// the group still waits for that group's barrier. onGroupCommit, if
 	// set, observes every flushed group (ops covered, barrier wall time);
 	// it runs on the storage backend's persist worker.
-	group        GroupCommit
-	ticket       *CommitTicket
-	lastTicket   *CommitTicket
-	groupOps     int
+	group         GroupCommit
+	ticket        *CommitTicket
+	lastTicket    *CommitTicket
+	groupOps      int
 	onGroupCommit func(ops int, persistNanos int64)
 
 	// prefetch caches the decoded headers of the next expected access's
@@ -179,17 +180,9 @@ type Controller struct {
 		hdrs  []prefetchedHdr
 	}
 	hPfHit *int64 // counter handle: core.prefetch_hits
-	// recycle gates buffer reuse during commit: true only on the
-	// single-batch eviction path, where an overwritten image slot's
-	// buffers and an evicted block's StashBlock are provably dead. The
-	// ordered multi-batch eviction aliases sealed buffers across slots
-	// (bounce writes), so it keeps recycling off.
-	recycle bool
-	// Freelists feeding the recycling: spare stash blocks (Data retains
-	// its capacity) and sealed header/payload buffers.
+	// freeBlocks recycles spare stash blocks (Data retains its
+	// capacity); see pool.go.
 	freeBlocks []*oram.StashBlock
-	freeHdr    [][]byte
-	freeData   [][]byte
 
 	// Reusable sorters for the eviction order (sort.Sort on a pointer
 	// receiver allocates nothing, unlike sort.Slice's closure).
@@ -393,15 +386,15 @@ func newController(scheme config.Scheme, cfg config.Config, opts Options, attach
 	c.hPfHit = c.counters.Handle("core.prefetch_hits")
 	c.group = opts.GroupCommit
 	if c.Merkle == nil {
-		// Non-integrity image: arm the lazy-seal overlay. The controller
-		// is the only writer and re-reads its own plaintext, so
-		// steady-state evictions commit descriptors and skip the AES; any
-		// observer of the sealed bytes (snapshots, equivalence tests) gets
-		// them materialized byte-identically on demand. Durable backends
-		// serialize from the underlying store, so persistDurable runs a
+		// Non-integrity image: arm lazy sealing. The controller is the
+		// only writer and re-reads its own plaintext, so steady-state
+		// evictions write plaintext records and skip the AES; any
+		// observer of the sealed bytes (snapshots, equivalence tests)
+		// gets them sealed in place, byte-identically, on demand.
+		// Durable backends serialize the arena, so persistDurable runs a
 		// materialization barrier (MaterializePending) before every
-		// persist, which mirrors the overlay into the store and makes the
-		// on-disk image byte-identical to eager sealing.
+		// persist, which makes the on-disk image byte-identical to eager
+		// sealing.
 		c.ORAM.Image.EnableLazySeal(oc.Engine)
 	}
 	return c, nil

@@ -29,9 +29,6 @@ import (
 // overwritten by the plan's own write of that slot, which is constrained
 // to come after the member's final placement.
 func (c *Controller) evictOrdered(l oram.Leaf, slots []plannedSlot) (int, int, error) {
-	// No recycling here: a bounce write places one sealed buffer at two
-	// image positions, and blocks stay referenced across batches.
-	c.recycle = false
 	t := c.ORAM.Tree
 	// Slot index -> path level is pure arithmetic (slots are laid out
 	// root-to-leaf, Z per bucket); no per-call map needed.
@@ -204,7 +201,9 @@ func (c *Controller) evictOrdered(l oram.Leaf, slots []plannedSlot) (int, int, e
 			return err
 		}
 		c.now = done
-		c.finishEvicted(pending)
+		// No stash-block recycling: blocks stay referenced across the
+		// batches of one ordered eviction.
+		c.finishEvicted(pending, false)
 		real += r
 		dirty += d
 		c.counters.Inc("psoram.ordered_batches")

@@ -12,7 +12,7 @@ import (
 // plannedSlot flattens an eviction plan entry for batch construction.
 // The IVs and seal version are drawn at plan time, pinning the slot's
 // ciphertext; `lazy` entries carry the plaintext forward and seal on
-// demand (sealSlots eagerly, or the image overlay at first observation).
+// demand (sealSlots eagerly, or the image at first observation).
 type plannedSlot struct {
 	bucket uint64
 	z      int
@@ -69,19 +69,25 @@ func (c *Controller) planSlots(l oram.Leaf, plan [][]*oram.StashBlock) []planned
 }
 
 // sealSlots materializes every planned seal eagerly (step 5-A's AES
-// half) into freelist buffers, fanning the per-slot work across the
-// crypto pool. Buffer acquisition stays on the caller's goroutine — the
-// freelists are not thread-safe — and only the data-independent AES
-// fans out. With a one-worker pool this runs inline on the controller's
-// engine, byte- and allocation-identical to the fused loop it replaced.
+// half) into the controller's seal scratch, fanning the per-slot work
+// across the crypto pool. Each slot gets its own region of the scratch,
+// so only the data-independent AES fans out. The scratch is reused by
+// the next call: every caller copies the sealed slots into the image
+// (directly or at batch commit) before planning again. With a one-worker
+// pool this runs inline on the controller's engine, byte-identical to
+// the fused loop it replaced.
 func (c *Controller) sealSlots(slots []plannedSlot) {
+	rec := oram.HeaderBytes + c.Cfg.BlockBytes
+	if n := len(slots) * rec; len(c.scratch.seal) < n {
+		c.scratch.seal = make([]byte, n)
+	}
 	for i := range slots {
 		s := &slots[i]
 		if !s.lazy {
 			continue
 		}
-		hdr, data := c.getSealBuf()
-		s.sealed = oram.Slot{SealedHeader: hdr, SealedData: data}
+		buf := c.scratch.seal[i*rec : (i+1)*rec : (i+1)*rec]
+		s.sealed = oram.Slot{SealedHeader: buf[:oram.HeaderBytes], SealedData: buf[oram.HeaderBytes:]}
 	}
 	c.sealing = slots
 	c.pool.Run(len(slots), c.sealRangeFn)
@@ -129,8 +135,8 @@ func (c *Controller) sealRange(e *cryptoeng.Engine, lo, hi int) {
 // PosMap and dropped from the temporary one.
 func (c *Controller) evictPersistent(l oram.Leaf, plan [][]*oram.StashBlock) (int, int, error) {
 	slots := c.planSlots(l, plan)
-	// With the image's lazy-seal overlay armed, the single-batch path
-	// commits plaintext descriptors and defers the AES entirely; every
+	// With the image's lazy sealing armed, the single-batch path
+	// commits plaintext records and defers the AES entirely; every
 	// other configuration (durable backend, integrity, ordered fallback)
 	// needs the sealed bytes now.
 	lazySeal := c.ORAM.Image.LazySeal() && c.Merkle == nil
@@ -163,15 +169,6 @@ func (c *Controller) evictPersistent(l oram.Leaf, plan [][]*oram.StashBlock) (in
 		return c.evictOrdered(l, slots)
 	}
 
-	// Single-batch path: overwritten image slots and evicted stash blocks
-	// are dead once the batch commits, so their buffers recycle (bounce
-	// writes in evictOrdered alias sealed buffers across slots; that path
-	// sets recycle=false). The Merkle tree re-reads image slots while
-	// hashing, so integrity runs keep recycling off out of caution. Under
-	// lazy seal no seal buffers were drawn, and stale store buffers may
-	// alias overlay memo buffers — only stash blocks recycle there (the
-	// overlay copied their payloads).
-	c.recycle = c.Merkle == nil
 	batch := c.Mem.BeginBatch()
 	real, dirty := c.stageBatch(batch, slots)
 	// Integrity: the new path-node hashes and the new root ride in the
@@ -210,7 +207,9 @@ func (c *Controller) evictPersistent(l oram.Leaf, plan [][]*oram.StashBlock) (in
 		return 0, 0, fmt.Errorf("core: eviction batch: %w", err)
 	}
 	c.now = done
-	c.finishEvicted(slots)
+	// Single-batch path: the evicted stash blocks are dead once the
+	// batch commits (the image copied their payloads), so they recycle.
+	c.finishEvicted(slots, true)
 	c.stageAdd(StageSeal)
 	c.counters.Add("psoram.dirty_entries", int64(dirty))
 	return real, dirty, nil
@@ -272,10 +271,10 @@ func (c *Controller) stageBatch(batch *mem.Batch, slots []plannedSlot) (int, int
 
 // finishEvicted removes committed blocks from the stash and emits
 // durability events for every value the committed batch made reachable
-// from the durable PosMap. On the recycling path the removed blocks
-// return to the freelist (their only remaining reference is the plan
-// scratch, which the next access overwrites).
-func (c *Controller) finishEvicted(slots []plannedSlot) {
+// from the durable PosMap. With recycle set the removed blocks return
+// to the freelist (their only remaining reference is the plan scratch,
+// which the next access overwrites).
+func (c *Controller) finishEvicted(slots []plannedSlot, recycle bool) {
 	for _, s := range slots {
 		b := s.block
 		if b == nil {
@@ -298,7 +297,7 @@ func (c *Controller) finishEvicted(slots []plannedSlot) {
 				c.markDurable(b.Addr, b.Data)
 			}
 		}
-		if c.recycle {
+		if recycle {
 			c.putStashBlock(b)
 		}
 	}

@@ -4,14 +4,13 @@ import (
 	"repro/internal/oram"
 )
 
-// This file holds the controller's buffer recycling. The serving hot
-// path (load path -> serve -> seal -> commit) used to allocate a fresh
-// StashBlock + payload per loaded block and fresh sealed buffers per
-// written slot; in steady state every one of those has an exact
-// counterpart dying in the same access (the blocks evicted, the image
-// slots overwritten), so the freelists below let the path run
-// allocation-free. Recycling is gated by c.recycle — see the field
-// comment for where aliasing makes it unsafe.
+// This file holds the controller's stash-block recycling. The serving
+// hot path (load path -> serve -> seal -> commit) would otherwise
+// allocate a fresh StashBlock + payload per loaded block; in steady
+// state each has an exact counterpart dying in the same access (the
+// blocks evicted), so the freelist below lets the path run
+// allocation-free. Sealed slots need no freelist: the image copies them
+// into its arena, so seal buffers are plain per-access scratch.
 
 // getStashBlock returns a zeroed stash block whose Data buffer has
 // BlockBytes capacity (length 0).
@@ -34,36 +33,6 @@ func (c *Controller) putStashBlock(b *oram.StashBlock) {
 	c.freeBlocks = append(c.freeBlocks, b)
 }
 
-// getSealBuf returns a (header, payload) buffer pair for sealing one
-// slot: capacities oram.HeaderBytes and BlockBytes, lengths 0.
-func (c *Controller) getSealBuf() (hdr, data []byte) {
-	if n := len(c.freeHdr); n > 0 {
-		hdr = c.freeHdr[n-1][:0]
-		c.freeHdr[n-1] = nil
-		c.freeHdr = c.freeHdr[:n-1]
-	} else {
-		hdr = make([]byte, 0, oram.HeaderBytes)
-	}
-	if n := len(c.freeData); n > 0 {
-		data = c.freeData[n-1][:0]
-		c.freeData[n-1] = nil
-		c.freeData = c.freeData[:n-1]
-	} else {
-		data = make([]byte, 0, c.Cfg.BlockBytes)
-	}
-	return hdr, data
-}
-
-// putSealBuf recycles an overwritten image slot's sealed buffers.
-func (c *Controller) putSealBuf(s oram.Slot) {
-	if cap(s.SealedHeader) >= oram.HeaderBytes {
-		c.freeHdr = append(c.freeHdr, s.SealedHeader)
-	}
-	if cap(s.SealedData) >= c.Cfg.BlockBytes {
-		c.freeData = append(c.freeData, s.SealedData)
-	}
-}
-
 // ApplyEntry is the mem.Applier hook: it applies one tagged batch entry
 // at commit. Non-negative tags index c.applySlots (a data-slot write);
 // negative tags encode a PosMap merge for slot index -tag-1.
@@ -71,10 +40,10 @@ func (c *Controller) ApplyEntry(tag int) {
 	if tag >= 0 {
 		s := &c.applySlots[tag]
 		if s.lazy {
-			// Deferred seal: the image overlay records the plaintext
-			// descriptor under the pre-drawn IVs (copying the payload, so
-			// the stash block below recycles as usual). AES runs only if
-			// some reader later observes the sealed slot.
+			// Deferred seal: the image writes the pre-drawn IVs and the
+			// plaintext into the slot's record (copying the payload, so
+			// the stash block recycles as usual). AES runs only if some
+			// reader later observes the sealed slot.
 			if s.block == nil {
 				c.ORAM.Image.PutLazyDummy(s.bucket, s.z, s.iv1, s.iv2)
 			} else {
@@ -84,10 +53,7 @@ func (c *Controller) ApplyEntry(tag int) {
 			}
 			return
 		}
-		old := c.ORAM.Image.PutSlot(s.bucket, s.z, s.sealed)
-		if c.recycle {
-			c.putSealBuf(old)
-		}
+		c.ORAM.Image.PutSlot(s.bucket, s.z, s.sealed)
 		return
 	}
 	b := c.applySlots[-tag-1].block

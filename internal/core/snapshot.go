@@ -172,24 +172,22 @@ func LoadDurable(r io.Reader, cfg config.Config) (*Controller, error) {
 	}
 	// Sealed tree image.
 	t := c.ORAM.Tree
+	s := oram.Slot{SealedHeader: make([]byte, oram.HeaderBytes), SealedData: make([]byte, blockBytes)}
 	for b := uint64(0); b < t.Buckets(); b++ {
 		for zi := 0; zi < t.Z; zi++ {
-			var s oram.Slot
 			if err := binary.Read(br, binary.LittleEndian, &s.IV1); err != nil {
 				return nil, snapRead(err, fmt.Sprintf("slot (%d,%d)", b, zi))
 			}
 			if err := binary.Read(br, binary.LittleEndian, &s.IV2); err != nil {
 				return nil, snapRead(err, fmt.Sprintf("slot (%d,%d)", b, zi))
 			}
-			s.SealedHeader = make([]byte, 16)
 			if _, err := io.ReadFull(br, s.SealedHeader); err != nil {
 				return nil, snapRead(err, fmt.Sprintf("slot (%d,%d) header", b, zi))
 			}
-			s.SealedData = make([]byte, blockBytes)
 			if _, err := io.ReadFull(br, s.SealedData); err != nil {
 				return nil, snapRead(err, fmt.Sprintf("slot (%d,%d) data", b, zi))
 			}
-			c.ORAM.Image.SetSlot(b, zi, s)
+			c.ORAM.Image.PutSlot(b, zi, s)
 		}
 	}
 	c.ORAM.SetVerSeq(verSeq)

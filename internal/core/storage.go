@@ -148,8 +148,8 @@ func (c *Controller) syncDurablePosMap() {
 	}
 }
 
-// preparePersist runs the materialization barrier (lazy-seal overlay →
-// store, so the backend serializes current bytes) and pushes the
+// preparePersist runs the materialization barrier (deferred seals are
+// sealed in place, so the backend serializes sealed bytes) and pushes the
 // version cursor and trusted root. Every persist path goes through it.
 func (c *Controller) preparePersist() {
 	c.ORAM.Image.MaterializePending()

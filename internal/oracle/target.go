@@ -50,7 +50,8 @@ type Target interface {
 
 // CrashTarget is a Target that supports crash injection: Arm installs
 // the injection hook (fire returns true to trigger the power failure at
-// the offered point) and Recover runs the scheme's recovery procedure.
+// the offered point; a nil fire disarms) and Recover runs the scheme's
+// recovery procedure.
 type CrashTarget interface {
 	Target
 	Arm(fire func(CrashSpec) bool)
@@ -201,6 +202,10 @@ func (t *coreTarget) currentLeaf(a oram.Addr) oram.Leaf {
 }
 
 func (t *coreTarget) Arm(fire func(CrashSpec) bool) {
+	if fire == nil {
+		t.ctl.CrashAt = nil
+		return
+	}
 	t.ctl.CrashAt = func(p core.CrashPoint) bool {
 		return fire(CrashSpec{Access: p.Access, Step: p.Step, Sub: p.Sub})
 	}
@@ -284,6 +289,10 @@ func (t *ringTarget) Access(op oram.Op, addr oram.Addr, data []byte) ([]byte, or
 func (t *ringTarget) Peek(addr oram.Addr) ([]byte, error) { return t.ctl.Peek(addr) }
 
 func (t *ringTarget) Arm(fire func(CrashSpec) bool) {
+	if fire == nil {
+		t.ctl.CrashAt = nil
+		return
+	}
 	t.ctl.CrashAt = func(p ringoram.CrashPoint) bool {
 		return fire(CrashSpec{Access: p.Access, Step: crash.RingStepForPhase(p.Phase), Sub: -1})
 	}

@@ -41,40 +41,28 @@ type Block struct {
 // Dummy reports whether the block carries the reserved dummy address.
 func (b Block) Dummy() bool { return b.Addr == DummyAddr }
 
-// sealHeader packs and seals the header under IV1.
-func sealHeader(e *cryptoeng.Engine, iv1 uint64, addr Addr, leaf Leaf, ver uint32) []byte {
-	var h [headerBytes]byte
+// putHeader packs a plaintext header into h[:headerBytes].
+func putHeader(h []byte, addr Addr, leaf Leaf, ver uint32) {
 	binary.LittleEndian.PutUint64(h[0:8], uint64(addr))
 	binary.LittleEndian.PutUint32(h[8:12], uint32(leaf))
 	binary.LittleEndian.PutUint32(h[12:16], ver)
-	return e.Seal(iv1, h[:])
 }
 
-// openHeader unseals and unpacks the header.
-func openHeader(e *cryptoeng.Engine, iv1 uint64, sealed []byte) (Addr, Leaf, uint32, error) {
-	if len(sealed) != headerBytes {
-		return 0, 0, 0, fmt.Errorf("oram: sealed header has %d bytes, want %d", len(sealed), headerBytes)
-	}
-	h := e.Open(iv1, sealed)
+// getHeader unpacks a plaintext header.
+func getHeader(h []byte) (Addr, Leaf, uint32) {
 	return Addr(binary.LittleEndian.Uint64(h[0:8])),
 		Leaf(binary.LittleEndian.Uint32(h[8:12])),
-		binary.LittleEndian.Uint32(h[12:16]), nil
+		binary.LittleEndian.Uint32(h[12:16])
 }
 
-// SealBlock encrypts b into a Slot using fresh IVs drawn from nextIV.
+// SealBlock encrypts b into a fresh Slot using IVs drawn from nextIV.
 func SealBlock(e *cryptoeng.Engine, b Block, nextIV func() uint64) Slot {
-	iv1, iv2 := nextIV(), nextIV()
-	return Slot{
-		IV1:          iv1,
-		IV2:          iv2,
-		SealedHeader: sealHeader(e, iv1, b.Addr, b.Leaf, b.Ver),
-		SealedData:   e.Seal(iv2, b.Data),
-	}
+	return SealBlockInto(e, b, nextIV, make([]byte, headerBytes), make([]byte, len(b.Data)))
 }
 
 // OpenSlot decrypts a slot back into a Block.
 func OpenSlot(e *cryptoeng.Engine, s Slot) (Block, error) {
-	addr, leaf, ver, err := openHeader(e, s.IV1, s.SealedHeader)
+	addr, leaf, ver, err := openHeaderInto(e, s.IV1, s.SealedHeader)
 	if err != nil {
 		return Block{}, err
 	}
@@ -101,9 +89,7 @@ func SealBlockInto(e *cryptoeng.Engine, b Block, nextIV func() uint64, hdr, data
 // identical ciphertext to SealBlockInto for the same IVs.
 func SealBlockIVs(e *cryptoeng.Engine, b Block, iv1, iv2 uint64, hdr, data []byte) Slot {
 	var h [headerBytes]byte
-	binary.LittleEndian.PutUint64(h[0:8], uint64(b.Addr))
-	binary.LittleEndian.PutUint32(h[8:12], uint32(b.Leaf))
-	binary.LittleEndian.PutUint32(h[12:16], b.Ver)
+	putHeader(h[:], b.Addr, b.Leaf, b.Ver)
 	return Slot{
 		IV1:          iv1,
 		IV2:          iv2,
@@ -124,7 +110,7 @@ func DummySlotInto(e *cryptoeng.Engine, blockBytes int, nextIV func() uint64, hd
 // DummySlotIVs is DummySlotInto under pre-drawn IVs.
 func DummySlotIVs(e *cryptoeng.Engine, blockBytes int, iv1, iv2 uint64, hdr, data []byte) Slot {
 	var h [headerBytes]byte
-	binary.LittleEndian.PutUint64(h[0:8], uint64(DummyAddr))
+	putHeader(h[:], DummyAddr, 0, 0)
 	data = data[:blockBytes]
 	e.PadInto(iv2, data)
 	return Slot{
@@ -141,7 +127,7 @@ func OpenSlotHeader(e *cryptoeng.Engine, s Slot) (Addr, Leaf, uint32, error) {
 	return openHeaderInto(e, s.IV1, s.SealedHeader)
 }
 
-// openHeaderInto is openHeader without the output allocation: the
+// openHeaderInto unseals and unpacks a header without allocating: the
 // plaintext lands in a stack array that never escapes.
 func openHeaderInto(e *cryptoeng.Engine, iv1 uint64, sealed []byte) (Addr, Leaf, uint32, error) {
 	if len(sealed) != headerBytes {
@@ -149,9 +135,8 @@ func openHeaderInto(e *cryptoeng.Engine, iv1 uint64, sealed []byte) (Addr, Leaf,
 	}
 	var h [headerBytes]byte
 	e.OpenInto(iv1, sealed, h[:])
-	return Addr(binary.LittleEndian.Uint64(h[0:8])),
-		Leaf(binary.LittleEndian.Uint32(h[8:12])),
-		binary.LittleEndian.Uint32(h[12:16]), nil
+	a, l, v := getHeader(h[:])
+	return a, l, v, nil
 }
 
 // OpenSlotDataInto unseals a slot's payload into dst (capacity must

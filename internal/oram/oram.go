@@ -55,8 +55,11 @@ type Controller struct {
 	// place of the direct image update. The persistent controllers use
 	// it to route posmap-ORAM write-backs through the memory
 	// controller's write buffer or WPQ batches; the hook owns applying
-	// (or staging) the image mutation.
+	// (or staging) the image mutation. The Slot views a scratch buffer
+	// that the next slot write reuses: copy it in before returning.
 	OnSlotWrite func(bucket uint64, z int, s Slot, b *StashBlock)
+
+	sealBuf []byte // ApplyEviction's per-slot seal scratch
 }
 
 // Params bundles the knobs for constructing a functional ORAM.
@@ -149,19 +152,17 @@ func build(p Params, attach bool) (*Controller, error) {
 	} else {
 		c.Image = NewImage(t, eng, p.BlockBytes, nextIV)
 	}
-	// Materialize the initial blocks on their mapped paths.
+	// Materialize the initial blocks on their mapped paths. Every block
+	// starts zeroed, so they all seal from one shared zero payload.
+	zero := make([]byte, p.BlockBytes)
 	blocks := make([]Block, p.NumBlocks)
 	for i := range blocks {
-		blocks[i] = Block{
-			Addr: Addr(i),
-			Leaf: c.PosMap.Lookup(Addr(i)),
-			Data: make([]byte, p.BlockBytes),
-		}
+		blocks[i] = Block{Addr: Addr(i), Leaf: c.PosMap.Lookup(Addr(i)), Data: zero}
 	}
 	for _, b := range c.Image.InitBlocks(eng, blocks, nextIV) {
 		// Oversubscribed paths (possible above ~50% utilization): the
 		// leftover blocks start life in the stash.
-		c.Stash.Put(&StashBlock{Addr: b.Addr, Leaf: b.Leaf, Data: b.Data, Dirty: true})
+		c.Stash.Put(&StashBlock{Addr: b.Addr, Leaf: b.Leaf, Data: make([]byte, p.BlockBytes), Dirty: true})
 	}
 	if c.Stash.Overflowed() {
 		return nil, fmt.Errorf("oram: initial placement overflowed the stash (%d blocks; utilization too high): %w", c.Stash.Len(), ErrStashOverflow)
@@ -457,32 +458,38 @@ func (c *Controller) evictPath(l Leaf, onWrite func(bucket uint64, z int, s Slot
 
 // ApplyEviction seals and writes a previously computed plan. Exposed so
 // the PS-ORAM controller can wrap plan computation and write-out
-// separately.
+// separately. Each slot is sealed into one scratch buffer, so onWrite
+// must copy the Slot in (Image.SetSlot does) before it returns.
 func (c *Controller) ApplyEviction(l Leaf, plan [][]*StashBlock, onWrite func(bucket uint64, z int, s Slot, b *StashBlock)) int {
 	if onWrite == nil {
 		onWrite = c.OnSlotWrite
 	}
 	t := c.Tree
 	path := t.Path(l)
+	bb := c.Image.BlockBytes()
+	if len(c.sealBuf) < headerBytes+bb {
+		c.sealBuf = make([]byte, headerBytes+bb)
+	}
+	hdr, data := c.sealBuf[:headerBytes], c.sealBuf[headerBytes:headerBytes+bb]
 	real := 0
 	for k, bucket := range path {
 		for z := 0; z < t.Z; z++ {
 			b := plan[k][z]
 			var slot Slot
 			if b == nil {
-				slot = DummySlot(c.Engine, c.Image.BlockBytes(), c.nextIV)
+				slot = DummySlotInto(c.Engine, bb, c.nextIV, hdr, data)
 			} else {
 				leaf := b.Leaf
 				if b.Backup {
 					leaf = b.BackupLeaf
 				}
-				slot = SealBlock(c.Engine, Block{Addr: b.Addr, Leaf: leaf, Ver: c.NextVer(), Data: b.Data}, c.nextIV)
+				slot = SealBlockInto(c.Engine, Block{Addr: b.Addr, Leaf: leaf, Ver: c.NextVer(), Data: b.Data}, c.nextIV, hdr, data)
 				real++
 			}
 			if onWrite != nil {
 				onWrite(bucket, z, slot, b)
 			} else {
-				c.Image.SetSlot(bucket, z, slot)
+				c.Image.PutSlot(bucket, z, slot)
 			}
 			if b != nil {
 				if b.Backup {

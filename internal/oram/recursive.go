@@ -182,7 +182,7 @@ func initOverwrite(c *Controller, addr Addr, data []byte) error {
 			}
 			if b.Addr == addr && b.Leaf == l {
 				b.Data = data
-				c.Image.SetSlot(bucket, z, SealBlock(c.Engine, b, c.nextIV))
+				c.Image.PutSlot(bucket, z, SealBlock(c.Engine, b, c.nextIV))
 				return nil
 			}
 		}

@@ -77,15 +77,11 @@ func (p *Pool) Reshard(ctx context.Context, newShards int) error {
 		p.abortReshard(rt, next, newEpoch)
 		return err
 	}
-	for s := 0; s < newShards; s++ {
-		dir := ""
-		if p.storeRoot != "" {
-			dir = filestore.ShardDir(p.storeRoot, newEpoch, s)
-		}
-		b, err := p.buildBackend(s, localBlocks(p.opts.NumBlocks, newShards, s), dir)
-		if err != nil {
-			return fail(fmt.Errorf("serve: reshard: build shard %d: %w", s, err))
-		}
+	backends, err := p.buildBackends(newShards, newEpoch)
+	if err != nil {
+		return fail(fmt.Errorf("serve: reshard: build %w", err))
+	}
+	for s, b := range backends {
 		next[s] = p.newShard(s, b)
 	}
 

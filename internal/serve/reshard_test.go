@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -465,5 +466,60 @@ func TestReshardAbortOnCancel(t *testing.T) {
 	got, err := p.Peek(ctx, 3)
 	if err != nil || !bytes.Equal(got, v) {
 		t.Fatalf("post-abort write readback = %.8q, %v", got, err)
+	}
+}
+
+// closeCounter is a gatedBackend whose Close is counted.
+type closeCounter struct {
+	*gatedBackend
+	closed *atomic.Int32
+}
+
+func (b closeCounter) Close() error { b.closed.Add(1); return nil }
+
+// TestShardBuildFailureClosesBuilt: when one shard of a set fails to
+// build, the backends already built for that set are closed and the
+// failing shard is named — on New (no pool comes up) and on Reshard
+// (the pool keeps serving on its old set, no acknowledged write lost).
+func TestShardBuildFailureClosesBuilt(t *testing.T) {
+	boom := errors.New("boom")
+	var closed atomic.Int32
+	var failShard atomic.Int32
+	failShard.Store(2)
+	factory := func(s int, local uint64) (Backend, error) {
+		if s == int(failShard.Load()) {
+			return nil, boom
+		}
+		return closeCounter{newGatedBackend(local, 16, nil), &closed}, nil
+	}
+	_, err := New(Options{Shards: 4, NumBlocks: 16, Factory: factory})
+	if !errors.Is(err, boom) || !strings.Contains(err.Error(), "shard 2") {
+		t.Fatalf("New with a failing shard: %v, want boom naming shard 2", err)
+	}
+	if n := closed.Load(); n != 3 {
+		t.Fatalf("New closed %d built backends, want 3", n)
+	}
+
+	failShard.Store(-1)
+	p := mustPool(t, Options{Shards: 2, NumBlocks: 16, Factory: factory})
+	ctx := context.Background()
+	v := bytes.Repeat([]byte{0x5a}, 16)
+	if err := p.Write(ctx, 7, v); err != nil {
+		t.Fatal(err)
+	}
+	closed.Store(0)
+	failShard.Store(1)
+	if err := p.Reshard(ctx, 3); !errors.Is(err, boom) || !strings.Contains(err.Error(), "shard 1") {
+		t.Fatalf("Reshard with a failing shard: %v, want boom naming shard 1", err)
+	}
+	if n := closed.Load(); n != 2 {
+		t.Fatalf("Reshard closed %d built backends, want 2", n)
+	}
+	got, err := p.Read(ctx, 7)
+	if err != nil || !bytes.Equal(got, v) {
+		t.Fatalf("read after aborted reshard: %x, %v", got, err)
+	}
+	if n := p.Shards(); n != 2 {
+		t.Fatalf("pool has %d shards after aborted reshard, want 2", n)
 	}
 }

@@ -34,6 +34,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -135,7 +136,8 @@ type snapshotter interface {
 // Factory builds the backend for one shard. localBlocks is the number
 // of logical blocks the shard owns after keyspace striping. A Factory
 // is also used by Reshard to build the replacement shard set, so it
-// must be callable more than once per pool.
+// must be callable more than once per pool, and the shards of one set
+// are built concurrently, so it must be safe for concurrent calls.
 type Factory func(shard int, localBlocks uint64) (Backend, error)
 
 // Options sizes a Pool.
@@ -446,20 +448,54 @@ func New(opts Options) (*Pool, error) {
 		p.storeRoot = opts.StoreDir
 	}
 	p.reqPool.New = func() any { return &request{reply: make(chan response, 1)} }
+	backends, err := p.buildBackends(opts.Shards, epoch)
+	if err != nil {
+		return nil, fmt.Errorf("serve: %w", err)
+	}
 	shards := make([]*shard, opts.Shards)
-	for s := 0; s < opts.Shards; s++ {
-		dir := ""
-		if p.storeRoot != "" {
-			dir = filestore.ShardDir(p.storeRoot, epoch, s)
-		}
-		b, err := p.buildBackend(s, localBlocks(opts.NumBlocks, opts.Shards, s), dir)
-		if err != nil {
-			return nil, fmt.Errorf("serve: shard %d: %w", s, err)
-		}
+	for s, b := range backends {
 		shards[s] = p.newShard(s, b)
 	}
 	p.router.Store(&routeTable{epoch: epoch, shards: shards})
 	return p, nil
+}
+
+// buildBackends builds the backends of an n-shard set in the given
+// topology epoch, concurrently on at most GOMAXPROCS goroutines (a
+// large shard's build is dominated by sealing its whole tree). If any
+// shard fails, every backend that was built is closed and the failure
+// of the lowest-numbered failing shard is returned.
+func (p *Pool) buildBackends(n int, epoch uint64) ([]Backend, error) {
+	out := make([]Backend, n)
+	errs := make([]error, n)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), n); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for s := int(next.Add(1)) - 1; s < n; s = int(next.Add(1)) - 1 {
+				dir := ""
+				if p.storeRoot != "" {
+					dir = filestore.ShardDir(p.storeRoot, epoch, s)
+				}
+				out[s], errs[s] = p.buildBackend(s, localBlocks(p.opts.NumBlocks, n, s), dir)
+			}
+		}()
+	}
+	wg.Wait()
+	for s, err := range errs {
+		if err == nil {
+			continue
+		}
+		for _, b := range out {
+			if c, ok := b.(io.Closer); ok {
+				c.Close()
+			}
+		}
+		return nil, fmt.Errorf("shard %d: %w", s, err)
+	}
+	return out, nil
 }
 
 // buildBackend constructs one shard's backend: the Options.Factory when

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/config"
+	"repro/internal/crash"
 	"repro/internal/oracle"
 	"repro/internal/oram"
 )
@@ -628,5 +629,61 @@ func TestDerivedLevels(t *testing.T) {
 		if string(got[:7]) != "derived" {
 			t.Fatalf("%v: read back %q", sc, got[:7])
 		}
+	}
+}
+
+// TestArmCrashDisarm: ArmCrash with a nil fire disarms the shard. A
+// shard armed with a hook that never fires is driven until it has
+// offered every declared crash point of its scheme; after disarming,
+// the same workload passes every one of those points again without
+// consulting any hook, for a core controller and for Ring ORAM.
+func TestArmCrashDisarm(t *testing.T) {
+	for _, scheme := range []config.Scheme{config.SchemePSORAM, config.SchemeRingPSORAM} {
+		t.Run(scheme.String(), func(t *testing.T) {
+			const blocks = 64
+			p := mustPool(t, Options{Shards: 1, NumBlocks: blocks, Scheme: scheme, Levels: 6, Seed: 3})
+			ctx := context.Background()
+			ops := oracle.GenOps(oracle.Workload{Name: "write-heavy"}, blocks, p.BlockBytes(), 200, 9)
+			run := func() {
+				for i, op := range ops {
+					kind, data := oram.OpRead, []byte(nil)
+					if op.Write {
+						kind, data = oram.OpWrite, op.Data
+					}
+					if _, _, err := p.Access(ctx, kind, op.Addr, data); err != nil {
+						t.Fatalf("op %d: %v", i, err)
+					}
+				}
+			}
+			var mu sync.Mutex
+			seen := map[int]bool{}
+			if err := p.ArmCrash(ctx, 0, func(cs oracle.CrashSpec) bool {
+				mu.Lock()
+				seen[cs.Step] = true
+				mu.Unlock()
+				return false
+			}); err != nil {
+				t.Fatal(err)
+			}
+			run()
+			mu.Lock()
+			for _, step := range crash.DeclaredStepsFor(scheme) {
+				if !seen[step] {
+					t.Fatalf("workload never offered crash step %d", step)
+				}
+			}
+			seen = map[int]bool{}
+			mu.Unlock()
+
+			if err := p.ArmCrash(ctx, 0, nil); err != nil {
+				t.Fatal(err)
+			}
+			run()
+			mu.Lock()
+			defer mu.Unlock()
+			if len(seen) != 0 {
+				t.Fatalf("disarmed shard still consulted its hook at steps %v", seen)
+			}
+		})
 	}
 }

@@ -104,7 +104,7 @@ type Store struct {
 	geom oram.StoreGeometry
 	tree oram.Tree
 
-	slots  []oram.Slot // bucket*Z + z
+	arena  *oram.Arena // the slot records, in on-disk chunk layout
 	leaves []uint32
 	verSeq uint32
 	root   []byte
@@ -113,9 +113,9 @@ type Store struct {
 	chunkEpoch []uint64 // on-disk epoch per data chunk (0 = none yet)
 	stateEpoch uint64
 
-	nChunks   int
-	dirty     []bool
-	dirtyList []int
+	nChunks    int
+	dirty      []bool
+	dirtyList  []int
 	stateDirty bool
 
 	buf  []byte // reusable chunk serialization buffer
@@ -196,13 +196,12 @@ func validGeometry(g oram.StoreGeometry) error {
 
 func newStore(dir string, g oram.StoreGeometry) *Store {
 	t := oram.NewTree(g.Levels, g.Z)
-	nSlots := int(t.Buckets()) * t.Z
 	nChunks := (int(t.Buckets()) + chunkBuckets - 1) / chunkBuckets
 	return &Store{
 		dir:        dir,
 		geom:       g,
 		tree:       t,
-		slots:      make([]oram.Slot, nSlots),
+		arena:      oram.NewArena(t, g.BlockBytes),
 		leaves:     make([]uint32, g.NumBlocks),
 		chunkEpoch: make([]uint64, nChunks),
 		nChunks:    nChunks,
@@ -273,16 +272,22 @@ func (s *Store) Dir() string { return s.dir }
 // Epoch returns the committed persist epoch (diagnostics and tests).
 func (s *Store) Epoch() uint64 { return s.epoch }
 
-// Slot returns the sealed slot at (bucket, z). It aliases the store's
-// cached copy, per the oram.Storage contract.
-func (s *Store) Slot(bucket uint64, z int) oram.Slot {
-	return s.slots[int(bucket)*s.tree.Z+z]
-}
+// Slot returns a view of the sealed slot at (bucket, z) in the store's
+// arena, per the oram.Storage contract.
+func (s *Store) Slot(bucket uint64, z int) oram.Slot { return s.arena.Slot(bucket, z) }
 
-// SetSlot overwrites the sealed slot at (bucket, z) and marks its chunk
+// SetSlot copies sl into the slot at (bucket, z) and marks its chunk
 // dirty for the next persist barrier.
 func (s *Store) SetSlot(bucket uint64, z int, sl oram.Slot) {
-	s.slots[int(bucket)*s.tree.Z+z] = sl
+	s.arena.SetSlot(bucket, z, sl)
+	s.Touch(bucket)
+}
+
+// Arena returns the store's slot arena.
+func (s *Store) Arena() *oram.Arena { return s.arena }
+
+// Touch marks bucket's chunk dirty for the next persist barrier.
+func (s *Store) Touch(bucket uint64) {
 	ci := int(bucket) / chunkBuckets
 	if !s.dirty[ci] {
 		s.dirty[ci] = true
@@ -620,20 +625,14 @@ func (s *Store) chunkHeader(buf []byte, kind byte, idx int, epoch uint64) []byte
 }
 
 // serializeDataChunk appends chunk ci's complete file image (header,
-// slots, CRC) to buf — the single source of the on-disk chunk format
-// for both the synchronous and the group barrier.
+// slot records, CRC) to buf — the single source of the on-disk chunk
+// format for both the synchronous and the group barrier. The arena's
+// records are already in chunk layout (iv1|iv2|sealed header|sealed
+// payload), so the body is one copy of the chunk's bucket range.
 func (s *Store) serializeDataChunk(buf []byte, ci int, epoch uint64) []byte {
 	buf = s.chunkHeader(buf, kindData, ci, epoch)
 	lo, hi := s.bucketRange(ci)
-	for b := lo; b < hi; b++ {
-		for z := 0; z < s.tree.Z; z++ {
-			sl := s.slots[b*s.tree.Z+z]
-			buf = binary.LittleEndian.AppendUint64(buf, sl.IV1)
-			buf = binary.LittleEndian.AppendUint64(buf, sl.IV2)
-			buf = append(buf, sl.SealedHeader...)
-			buf = append(buf, sl.SealedData...)
-		}
-	}
+	buf = append(buf, s.arena.Buckets(uint64(lo), uint64(hi))...)
 	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
 }
 
@@ -711,14 +710,11 @@ func writeMeta(dir string, g oram.StoreGeometry) error {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(g.BlockBytes))
 	buf = binary.LittleEndian.AppendUint64(buf, g.NumBlocks)
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
+	// meta.tmp must be durable before the rename publishes it: a failed
+	// fsync returns here, so no unsynced meta is ever committed.
 	tmp := filepath.Join(dir, "meta.tmp")
-	if err := os.WriteFile(tmp, buf, 0o644); err != nil {
+	if err := writeFileSync(tmp, buf); err != nil {
 		return err
-	}
-	f, err := os.Open(tmp)
-	if err == nil {
-		f.Sync()
-		f.Close()
 	}
 	return os.Rename(tmp, filepath.Join(dir, "meta"))
 }

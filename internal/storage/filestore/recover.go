@@ -144,23 +144,11 @@ func (s *Store) loadDataChunk(ci int, epoch uint64) error {
 		return err
 	}
 	lo, hi := s.bucketRange(ci)
-	slotSize := 16 + 16 + s.geom.BlockBytes
-	want := (hi - lo) * s.tree.Z * slotSize
-	if len(payload) != want {
-		return fmt.Errorf("%w: data chunk %d epoch %d: %d payload bytes, want %d", ErrCorrupted, ci, epoch, len(payload), want)
+	dst := s.arena.Buckets(uint64(lo), uint64(hi))
+	if len(payload) != len(dst) {
+		return fmt.Errorf("%w: data chunk %d epoch %d: %d payload bytes, want %d", ErrCorrupted, ci, epoch, len(payload), len(dst))
 	}
-	off := 0
-	for b := lo; b < hi; b++ {
-		for z := 0; z < s.tree.Z; z++ {
-			var sl oram.Slot
-			sl.IV1 = binary.LittleEndian.Uint64(payload[off:])
-			sl.IV2 = binary.LittleEndian.Uint64(payload[off+8:])
-			sl.SealedHeader = append([]byte(nil), payload[off+16:off+32]...)
-			sl.SealedData = append([]byte(nil), payload[off+32:off+32+s.geom.BlockBytes]...)
-			s.slots[b*s.tree.Z+z] = sl
-			off += slotSize
-		}
-	}
+	copy(dst, payload)
 	s.chunkEpoch[ci] = epoch
 	return nil
 }

@@ -467,7 +467,7 @@ func WithPoolStorePath(dir string) PoolOption {
 
 // WithPoolFactory overrides backend construction (tests, custom
 // schemes). The factory is handed each shard's index and local block
-// count.
+// count; it is called concurrently for the shards of one set.
 func WithPoolFactory(f serve.Factory) PoolOption {
 	return func(o *serve.Options) { o.Factory = f }
 }
